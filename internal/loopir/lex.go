@@ -23,6 +23,7 @@ package loopir
 
 import (
 	"fmt"
+	"strconv"
 	"unicode"
 )
 
@@ -51,13 +52,18 @@ type lexer struct {
 	toks []token
 }
 
-// lex tokenizes the whole input up front; loop sources are tiny.
+// lex tokenizes the whole input up front in one linear pass.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
+	// Loop sources average two to three bytes per token; sizing for
+	// that up front spares the token slice most of its regrowth.
+	l := &lexer{src: src, line: 1, col: 1, toks: make([]token, 0, len(src)/3+1)}
 	for {
 		l.skipSpaceAndComments()
+		// Every token is stamped with the position of its first byte,
+		// taken from the running line/col, so lexing stays linear.
+		line, col := l.line, l.col
 		if l.pos >= len(l.src) {
-			l.emit(token{kind: tokEOF, text: ""})
+			l.emit(token{kind: tokEOF, text: ""}, line, col)
 			return l.toks, nil
 		}
 		c := l.src[l.pos]
@@ -67,7 +73,7 @@ func lex(src string) ([]token, error) {
 			for l.pos < len(l.src) && (isIdentChar(l.src[l.pos])) {
 				l.advance()
 			}
-			l.emitAt(token{kind: tokIdent, text: l.src[start:l.pos]}, start)
+			l.emit(token{kind: tokIdent, text: l.src[start:l.pos]}, line, col)
 		case unicode.IsDigit(rune(c)) || (c == '.' && l.pos+1 < len(l.src) && unicode.IsDigit(rune(l.src[l.pos+1]))):
 			start := l.pos
 			seenDot := false
@@ -84,13 +90,12 @@ func lex(src string) ([]token, error) {
 				l.advance()
 			}
 			text := l.src[start:l.pos]
-			var f float64
-			if _, err := fmt.Sscanf(text, "%g", &f); err != nil {
+			f, err := strconv.ParseFloat(text, 64)
+			if err != nil {
 				return nil, fmt.Errorf("loopir: line %d: bad number %q", l.line, text)
 			}
-			l.emitAt(token{kind: tokNumber, text: text, num: f}, start)
+			l.emit(token{kind: tokNumber, text: text, num: f}, line, col)
 		default:
-			start := l.pos
 			two := ""
 			if l.pos+1 < len(l.src) {
 				two = l.src[l.pos : l.pos+2]
@@ -99,13 +104,13 @@ func lex(src string) ([]token, error) {
 			case "<=", ">=", "==", "!=":
 				l.advance()
 				l.advance()
-				l.emitAt(token{kind: tokPunct, text: two}, start)
+				l.emit(token{kind: tokPunct, text: two}, line, col)
 				continue
 			}
 			switch c {
 			case '=', '+', '-', '*', '/', '(', ')', '[', ']', '{', '}', '<', '>', '@', ',':
 				l.advance()
-				l.emitAt(token{kind: tokPunct, text: string(c)}, start)
+				l.emit(token{kind: tokPunct, text: string(c)}, line, col)
 			default:
 				return nil, fmt.Errorf("loopir: line %d col %d: unexpected character %q", l.line, l.col, c)
 			}
@@ -150,23 +155,7 @@ func (l *lexer) advance() {
 	l.pos++
 }
 
-func (l *lexer) emit(t token) {
-	t.line = l.line
-	t.col = l.col
-	l.toks = append(l.toks, t)
-}
-
-func (l *lexer) emitAt(t token, start int) {
-	// Recompute line/col of start for error messages.
-	line, col := 1, 1
-	for i := 0; i < start; i++ {
-		if l.src[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
+func (l *lexer) emit(t token, line, col int) {
 	t.line = line
 	t.col = col
 	l.toks = append(l.toks, t)

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 
+	"mimdloop/internal/core"
 	"mimdloop/internal/exec"
+	"mimdloop/internal/loopir"
 	"mimdloop/internal/workload"
 )
 
@@ -213,5 +215,68 @@ func BenchmarkServeNearCapStream(b *testing.B) {
 	}
 	if w.status != http.StatusOK {
 		b.Fatalf("status %d", w.status)
+	}
+}
+
+// longRecordSource is an 8-statement loop with same-iteration chains
+// and loop-carried recurrences, the shape of the serving cold path's
+// long loops; at 3,000 iterations its plan has 24,000 placements.
+const longRecordSource = `loop long {
+    A[i] = A[i-1] + X[i]
+    B[i] = A[i] + H[i-1]
+    C[i] = B[i] * C[i-1] @lat(2)
+    D[i] = C[i] + A[i-1]
+    E[i] = D[i] - E[i-1]
+    F[i] = E[i] + B[i-1] @lat(3)
+    G[i] = F[i] + D[i]
+    H[i] = G[i] * H[i-1]
+}`
+
+// longRecordPlan schedules longRecordSource into a 24,000-placement
+// plan, the size of a serving cold-path long record (about 3 MB).
+func longRecordPlan(b *testing.B) *Plan {
+	b.Helper()
+	c := loopir.MustCompile(longRecordSource)
+	plan, _, err := New(Config{DisableCache: true}).Schedule(c.Graph, core.Options{CommCost: 2}, 3000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(plan.Schedule.Full.Placements); n != 24_000 {
+		b.Fatalf("plan has %d placements, want 24000", n)
+	}
+	return plan
+}
+
+// BenchmarkEncodePlan measures EncodePlan on a long record.
+func BenchmarkEncodePlan(b *testing.B) {
+	plan := longRecordPlan(b)
+	data, err := EncodePlan(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodePlan(plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodePlan measures DecodePlan on a long record: the cost a
+// disk-tier hit pays before the plan can be served.
+func BenchmarkDecodePlan(b *testing.B) {
+	data, err := EncodePlan(longRecordPlan(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodePlan(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

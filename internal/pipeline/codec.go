@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"mimdloop/internal/core"
+	"mimdloop/internal/jsonscan"
 	"mimdloop/internal/plan"
 	"mimdloop/internal/program"
 )
@@ -40,6 +41,15 @@ import (
 //	    grain-free version-4 records are byte-compatible with version 3
 //	    apart from the header, and version <= 3 records decode as
 //	    grain 0 with their original keys intact.
+//
+// Decoding (planRecord.decode) is one reflection-free jsonscan pass
+// with an exact-key rule: every key must be spelled exactly as the
+// encoder writes it. Unknown keys, keys differing only in case and
+// escaped keys are rejected rather than ignored or case-folded as
+// encoding/json would; everything else — repeated keys, nulls, integer
+// range — decodes exactly as encoding/json decodes it, so any record
+// DecodePlan accepts, encoding/json accepts too and decodes to the same
+// plan (pinned by FuzzDecodePlan).
 //
 // Decoded annotations are not codec-internal state: the server includes
 // them in /v1/schedule replies as the "measured_by" field, and restoring
@@ -88,6 +98,9 @@ type planRecord struct {
 
 	Schedule json.RawMessage   `json:"schedule"`
 	Programs []program.Program `json:"programs"`
+
+	// full is Schedule decoded, filled by decode in the same pass.
+	full *plan.Schedule
 }
 
 // EncodePlan serializes a plan to the durable record format. The
@@ -131,9 +144,14 @@ func EncodePlan(p *Plan) ([]byte, error) {
 // serving surface never does.
 func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	var rec planRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	if err := rec.decode(data); err != nil {
 		return "", nil, fmt.Errorf("pipeline: decode plan record: %w", err)
 	}
+	return rec.plan()
+}
+
+// plan validates a decoded record and builds the plan it describes.
+func (rec *planRecord) plan() (key string, p *Plan, err error) {
 	if rec.Format != planRecordFormat {
 		return "", nil, fmt.Errorf("pipeline: plan record format %q, want %q", rec.Format, planRecordFormat)
 	}
@@ -144,9 +162,9 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	if rec.Key == "" || rec.GraphHash == "" {
 		return "", nil, errors.New("pipeline: plan record missing key")
 	}
-	full := new(plan.Schedule)
-	if err := json.Unmarshal(rec.Schedule, full); err != nil {
-		return "", nil, fmt.Errorf("pipeline: decode plan record: %w", err)
+	full := rec.full
+	if full == nil {
+		return "", nil, errors.New("pipeline: decode plan record: missing schedule")
 	}
 	if got := PlanKey(rec.GraphHash, rec.Options, rec.Iterations); got != rec.Key {
 		return "", nil, fmt.Errorf("pipeline: plan record key %q does not match its ingredients %q", rec.Key, got)
@@ -209,4 +227,91 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	// re-marshaling.
 	p.schedJSONOnce.Do(func() { p.schedJSON = append([]byte(nil), rec.Schedule...) })
 	return rec.Key, p, nil
+}
+
+// decode reads a plan record in one jsonscan pass. The envelope and the
+// programs array — the bulk of a long record — are decoded by hand, the
+// embedded schedule by plan.Schedule's own scanner (keeping its raw
+// span as well), and the small options, pattern and measurement objects
+// go through encoding/json on their spans. Keys are planRecord's json
+// tags (program.Program and program.Instr carry no tags, so theirs are
+// the Go field names), under the exact-key rule described above.
+func (rec *planRecord) decode(data []byte) error {
+	sc := jsonscan.New(data)
+	err := sc.Object(func(key []byte) error {
+		switch string(key) {
+		case "format":
+			return sc.String(&rec.Format)
+		case "version":
+			return jsonscan.Int(sc, &rec.Version)
+		case "key":
+			return sc.String(&rec.Key)
+		case "graph_hash":
+			return sc.String(&rec.GraphHash)
+		case "options":
+			return sc.JSON(&rec.Options)
+		case "iterations":
+			return jsonscan.Int(sc, &rec.Iterations)
+		case "rate_cycles_per_iteration":
+			return sc.Float64(&rec.Rate)
+		case "procs":
+			return jsonscan.Int(sc, &rec.Procs)
+		case "makespan":
+			return jsonscan.Int(sc, &rec.Makespan)
+		case "cyclic_procs":
+			return jsonscan.Int(sc, &rec.CyclicProcs)
+		case "flow_in_procs":
+			return jsonscan.Int(sc, &rec.FlowInProcs)
+		case "flow_out_procs":
+			return jsonscan.Int(sc, &rec.FlowOutProcs)
+		case "folded":
+			return sc.Bool(&rec.Folded)
+		case "greedy_fallback":
+			return sc.Bool(&rec.GreedyFallback)
+		case "pattern":
+			return sc.JSON(&rec.Pattern)
+		case "measured":
+			return sc.JSON(&rec.Measured)
+		case "measured_by":
+			return sc.JSON(&rec.MeasuredBy)
+		case "schedule":
+			full := new(plan.Schedule)
+			raw, err := sc.Span(func() error { return full.ScanJSON(sc) })
+			rec.Schedule, rec.full = raw, full
+			return err
+		case "programs":
+			return jsonscan.Slice(sc, &rec.Programs, func(prog *program.Program) error {
+				return sc.Object(func(key []byte) error {
+					switch string(key) {
+					case "Proc":
+						return jsonscan.Int(sc, &prog.Proc)
+					case "Instrs":
+						return jsonscan.Slice(sc, &prog.Instrs, func(in *program.Instr) error {
+							return sc.Object(func(key []byte) error {
+								switch string(key) {
+								case "Kind":
+									return jsonscan.Int(sc, &in.Kind)
+								case "Node":
+									return jsonscan.Int(sc, &in.Node)
+								case "Iter":
+									return jsonscan.Int(sc, &in.Iter)
+								case "Peer":
+									return jsonscan.Int(sc, &in.Peer)
+								case "Cost":
+									return jsonscan.Int(sc, &in.Cost)
+								}
+								return sc.UnknownKey(key)
+							})
+						})
+					}
+					return sc.UnknownKey(key)
+				})
+			})
+		}
+		return sc.UnknownKey(key)
+	})
+	if err != nil {
+		return err
+	}
+	return sc.End()
 }

@@ -42,11 +42,11 @@ const (
 	maxGraphNodes = 512
 	maxPlacements = 500_000 // iterations x nodes ceiling
 
-	// Pre-parse caps: compilation itself is superlinear in source size,
-	// so the source is bounded cheaply before Compile runs. The loop
-	// language puts one statement per line, so a line cap of twice the
-	// node cap leaves comfortable room for braces and blank lines while
-	// keeping worst-case compile (and compile-cache retention) small.
+	// Pre-parse caps: parsing and compiling are linear in source size,
+	// and these caps bound that linear work (and compile-cache
+	// retention) cheaply before Compile runs. The loop language puts one
+	// statement per line, so a line cap of twice the node cap leaves
+	// comfortable room for braces and blank lines.
 	maxSourceBytes = 64 << 10
 	maxSourceLines = 2 * maxGraphNodes
 

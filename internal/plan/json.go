@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mimdloop/internal/graph"
+	"mimdloop/internal/jsonscan"
 )
 
 // scheduleJSON is the stable wire format: the graph is embedded so a
@@ -61,18 +62,95 @@ func (s *Schedule) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes and structurally validates a schedule (graph
 // construction re-checks node/edge invariants; Validate is left to the
 // caller, which knows whether the schedule should be complete).
+//
+// The decode is one jsonscan pass over the wire format above (see
+// ScanJSON).
 func (s *Schedule) UnmarshalJSON(data []byte) error {
-	var in scheduleJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var out Schedule
+	sc := jsonscan.New(data)
+	if err := out.ScanJSON(sc); err != nil {
+		return err
+	}
+	if err := sc.End(); err != nil {
 		return fmt.Errorf("plan: decode schedule: %w", err)
 	}
-	nodes := make([]graph.Node, len(in.Nodes))
-	for i, nd := range in.Nodes {
-		nodes[i] = graph.Node{ID: i, Name: nd.Name, Latency: nd.Latency}
+	*s = out
+	return nil
+}
+
+// ScanJSON decodes one schedule from the scanner's next value, for
+// callers that embed a schedule in a larger document. The nodes, edges
+// and placements arrays are read without reflection, and only the small
+// timing object goes through encoding/json. Keys must be spelled exactly
+// as scheduleJSON's tags (see package jsonscan for the accepted subset
+// of encoding/json).
+func (s *Schedule) ScanJSON(sc *jsonscan.Scanner) error {
+	var (
+		in     scheduleJSON
+		nodes  []graph.Node
+		edges  []graph.Edge
+		places []Placement
+	)
+	err := sc.Object(func(key []byte) error {
+		switch string(key) {
+		case "timing":
+			return sc.JSON(&in.Timing)
+		case "processors":
+			return jsonscan.Int(sc, &in.Processors)
+		case "grain":
+			return jsonscan.Int(sc, &in.Grain)
+		case "nodes":
+			return jsonscan.Slice(sc, &nodes, func(nd *graph.Node) error {
+				return sc.Object(func(key []byte) error {
+					switch string(key) {
+					case "name":
+						return sc.String(&nd.Name)
+					case "latency":
+						return jsonscan.Int(sc, &nd.Latency)
+					}
+					return sc.UnknownKey(key)
+				})
+			})
+		case "edges":
+			return jsonscan.Slice(sc, &edges, func(e *graph.Edge) error {
+				return sc.Object(func(key []byte) error {
+					switch string(key) {
+					case "from":
+						return jsonscan.Int(sc, &e.From)
+					case "to":
+						return jsonscan.Int(sc, &e.To)
+					case "distance":
+						return jsonscan.Int(sc, &e.Distance)
+					case "cost":
+						return jsonscan.Int(sc, &e.Cost)
+					}
+					return sc.UnknownKey(key)
+				})
+			})
+		case "placements":
+			return jsonscan.Slice(sc, &places, func(p *Placement) error {
+				return sc.Object(func(key []byte) error {
+					switch string(key) {
+					case "node":
+						return jsonscan.Int(sc, &p.Node)
+					case "iter":
+						return jsonscan.Int(sc, &p.Iter)
+					case "proc":
+						return jsonscan.Int(sc, &p.Proc)
+					case "start":
+						return jsonscan.Int(sc, &p.Start)
+					}
+					return sc.UnknownKey(key)
+				})
+			})
+		}
+		return sc.UnknownKey(key)
+	})
+	if err != nil {
+		return fmt.Errorf("plan: decode schedule: %w", err)
 	}
-	edges := make([]graph.Edge, len(in.Edges))
-	for i, e := range in.Edges {
-		edges[i] = graph.Edge{From: e.From, To: e.To, Distance: e.Distance, Cost: e.Cost}
+	for i := range nodes {
+		nodes[i].ID = i
 	}
 	g, err := graph.New(nodes, edges)
 	if err != nil {
@@ -93,8 +171,8 @@ func (s *Schedule) UnmarshalJSON(data []byte) error {
 	s.Processors = in.Processors
 	s.Grain = in.Grain
 	s.Placements = nil
-	for _, p := range in.Placements {
-		s.Placements = append(s.Placements, Placement{Node: p.Node, Iter: p.Iter, Proc: p.Proc, Start: p.Start})
+	if len(places) > 0 {
+		s.Placements = places
 	}
 	return nil
 }

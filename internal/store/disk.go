@@ -46,11 +46,12 @@ type DiskConfig struct {
 }
 
 // DiskStore is a durable PlanStore: content-addressed plan records on a
-// local filesystem. It is safe for concurrent use by one process; the
-// lock is deliberately coarse (one mutex across index and file IO)
-// because the disk tier sits behind a sharded memory tier in every
-// serving configuration — it sees cold misses and write-throughs, never
-// the hot path.
+// local filesystem. It is safe for concurrent use by one process. Its
+// one mutex guards only the in-memory index and counters: file reads,
+// record decodes, writes and fsyncs run outside it. The disk tier sees
+// every memory miss, including each never-seen key, so a lock held
+// across multi-megabyte I/O would make plain index misses wait behind
+// other requests' record reads and fsyncs.
 type DiskStore struct {
 	dir      string
 	maxBytes int64
@@ -58,9 +59,15 @@ type DiskStore struct {
 	mu    sync.Mutex
 	index map[string]*diskEntry // file base name -> entry
 	bytes int64
-	// counters are guarded by mu too: the store is cold-path only, and
-	// one lock keeps the index and its aggregates trivially consistent.
+	// counters are guarded by mu too: one lock keeps the index and its
+	// aggregates trivially consistent.
 	hits, misses, puts, evictions, errors uint64
+
+	// afterRead, when a test sets it, runs in Get and Plans between the
+	// unlocked read-and-decode of a record and re-taking mu to act on
+	// the result: the window in which a concurrent Put can replace the
+	// record.
+	afterRead func(name string)
 }
 
 // diskEntry is the in-memory index record for one plan file.
@@ -123,28 +130,51 @@ func fileName(key string) string {
 // to decode — torn write survived by a crash, format drift, manual
 // corruption — is quarantined and reported as a miss, so one bad file
 // can never take the store down or poison a key forever.
+//
+// Only the index lookup and the bookkeeping after the read hold d.mu;
+// the file read and the decode run unlocked, so a multi-megabyte record
+// never stalls concurrent misses behind it. A failed read or decode
+// drops or quarantines the entry only if the index still holds the
+// entry that was read: a concurrent Put may have replaced a bad record
+// with a good one in the meantime.
 func (d *DiskStore) Get(key string) (*pipeline.Plan, bool) {
 	name := fileName(key)
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	e, ok := d.index[name]
 	if !ok {
 		d.misses++
+		d.mu.Unlock()
 		return nil, false
 	}
-	data, err := os.ReadFile(filepath.Join(d.dir, name))
-	if err != nil {
-		// The index is stale (file removed behind our back): drop it.
-		delete(d.index, name)
-		d.bytes -= e.size
-		d.misses++
-		d.errors++
-		return nil, false
+	d.mu.Unlock()
+
+	data, readErr := os.ReadFile(filepath.Join(d.dir, name))
+	var plan *pipeline.Plan
+	corrupt := false
+	if readErr == nil {
+		gotKey, p, err := pipeline.DecodePlan(data)
+		plan, corrupt = p, err != nil || gotKey != key
 	}
-	gotKey, plan, err := pipeline.DecodePlan(data)
-	if err != nil || gotKey != key {
-		d.quarantineLocked(name, e)
+	if d.afterRead != nil {
+		d.afterRead(name)
+	}
+
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if readErr != nil || corrupt {
 		d.misses++
+		switch {
+		case d.index[name] != e:
+			// Replaced, deleted or collected while we read: the entry we
+			// judged is gone, so there is nothing to drop.
+		case readErr != nil:
+			// The index is stale (file removed behind our back): drop it.
+			delete(d.index, name)
+			d.bytes -= e.size
+			d.errors++
+		default:
+			d.quarantineLocked(name, e)
+		}
 		return nil, false
 	}
 	e.used = time.Now()
@@ -195,9 +225,7 @@ func (d *DiskStore) OpenRecord(key string) (io.ReadCloser, int64, error) {
 func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
 	tmp, err := os.CreateTemp(d.dir, tmpPrefix+"*")
 	if err != nil {
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	size, werr := io.Copy(tmp, r)
@@ -218,9 +246,7 @@ func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
 	}
 	if werr != nil {
 		_ = os.Remove(tmp.Name())
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return nil, fmt.Errorf("store: %w", werr)
 	}
 	gotKey, plan, err := pipeline.DecodePlan(data)
@@ -229,9 +255,7 @@ func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
 	}
 	if err != nil {
 		_ = os.Remove(tmp.Name())
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	name := fileName(key)
@@ -243,12 +267,7 @@ func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
 		d.errors++
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if old, ok := d.index[name]; ok {
-		d.bytes -= old.size
-	}
-	d.index[name] = &diskEntry{size: size, used: time.Now()}
-	d.bytes += size
-	d.gcLocked()
+	d.installLocked(name, size)
 	return plan, nil
 }
 
@@ -269,31 +288,28 @@ func (d *DiskStore) quarantineLocked(name string, e *diskEntry) {
 // Put encodes and durably stores p under key: the record is written to a
 // temp file in the store directory, synced, and renamed into place, so
 // concurrent readers and crash-interrupted writes observe either the old
-// record or the new one — never a prefix.
+// record or the new one — never a prefix. Encoding, the write and the
+// fsync run without d.mu; only the rename and the index update hold it,
+// so the index always describes the file the last rename installed.
 func (d *DiskStore) Put(key string, p *pipeline.Plan) {
 	if pipeline.PlanKey(p.GraphHash, p.Opts, p.Iterations) != key {
 		// An aliased key could never be answered consistently after a
 		// restart (records are verified against their ingredients), so
 		// decline it rather than persist a lie.
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return
 	}
 	data, err := pipeline.EncodePlan(p)
 	if err != nil {
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return
 	}
-	name := fileName(key)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.puts++
 	tmp, err := os.CreateTemp(d.dir, tmpPrefix+"*")
 	if err != nil {
+		d.mu.Lock()
+		d.puts++
 		d.errors++
+		d.mu.Unlock()
 		return
 	}
 	_, werr := tmp.Write(data)
@@ -303,6 +319,10 @@ func (d *DiskStore) Put(key string, p *pipeline.Plan) {
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
+	name := fileName(key)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.puts++
 	if werr == nil {
 		werr = os.Rename(tmp.Name(), filepath.Join(d.dir, name))
 	}
@@ -311,11 +331,27 @@ func (d *DiskStore) Put(key string, p *pipeline.Plan) {
 		d.errors++
 		return
 	}
+	d.installLocked(name, int64(len(data)))
+}
+
+// countError records a failure that touched no index state.
+func (d *DiskStore) countError() {
+	d.mu.Lock()
+	d.errors++
+	d.mu.Unlock()
+}
+
+// installLocked records a freshly renamed record file in the index and
+// trims the store to its budget. Caller holds d.mu.
+func (d *DiskStore) installLocked(name string, size int64) {
+	if d.index == nil {
+		return // closed: the record is on disk for the next Open
+	}
 	if old, ok := d.index[name]; ok {
 		d.bytes -= old.size
 	}
-	d.index[name] = &diskEntry{size: int64(len(data)), used: time.Now()}
-	d.bytes += int64(len(data))
+	d.index[name] = &diskEntry{size: size, used: time.Now()}
+	d.bytes += size
 	d.gcLocked()
 }
 
@@ -435,12 +471,12 @@ func (d *DiskStore) Stats() pipeline.StoreStats {
 func (d *DiskStore) Plans() []pipeline.PlanInfo {
 	type snap struct {
 		name string
-		size int64
+		e    *diskEntry
 	}
 	d.mu.Lock()
 	snaps := make([]snap, 0, len(d.index))
 	for name, e := range d.index {
-		snaps = append(snaps, snap{name, e.size})
+		snaps = append(snaps, snap{name, e})
 	}
 	d.mu.Unlock()
 	sort.Slice(snaps, func(a, b int) bool { return snaps[a].name < snaps[b].name })
@@ -454,10 +490,15 @@ func (d *DiskStore) Plans() []pipeline.PlanInfo {
 			continue
 		}
 		key, plan, err := pipeline.DecodePlan(data)
+		if d.afterRead != nil {
+			d.afterRead(s.name)
+		}
 		if err != nil {
+			// Quarantine only the entry that was read: a concurrent Put
+			// may have replaced it with a good record since the snapshot.
 			d.mu.Lock()
-			if e, ok := d.index[s.name]; ok {
-				d.quarantineLocked(s.name, e)
+			if d.index[s.name] == s.e {
+				d.quarantineLocked(s.name, s.e)
 			}
 			d.mu.Unlock()
 			continue
@@ -470,7 +511,7 @@ func (d *DiskStore) Plans() []pipeline.PlanInfo {
 			Rate:       plan.Rate(),
 			Procs:      plan.Procs(),
 			Makespan:   plan.Makespan(),
-			Bytes:      s.size,
+			Bytes:      s.e.size,
 		})
 	}
 	return out
